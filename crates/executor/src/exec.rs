@@ -1279,6 +1279,7 @@ fn build_operator<'p>(
                 outer_key_idx,
                 inner_predicate: bind_opt(inner_predicate.as_ref(), &inner_schema)?,
                 residual: bind_opt(residual.as_ref(), &plan.schema)?,
+                scratch: Row::default(),
                 outer_batch: Vec::new(),
                 outer_pos: 0,
                 match_pos: 0,
@@ -2256,6 +2257,8 @@ struct IndexNlJoinOp<'p> {
     outer_key_idx: usize,
     inner_predicate: Option<Expr>,
     residual: Option<Expr>,
+    /// The inner row of the match being fetched (see [`index_nl_fetch`]).
+    scratch: Row,
     outer_batch: RowBatch,
     outer_pos: usize,
     match_pos: usize,
@@ -2325,15 +2328,16 @@ impl Operator for IndexNlJoinOp<'_> {
                     }
                     let row_id = matches[self.match_pos];
                     self.match_pos += 1;
-                    let Some(inner_row) = self.table.row(row_id) else {
+                    let Some(joined) = index_nl_fetch(
+                        self.table,
+                        row_id,
+                        outer_row,
+                        self.inner_predicate.as_ref(),
+                        &mut self.scratch,
+                    )?
+                    else {
                         continue;
                     };
-                    if let Some(p) = &self.inner_predicate {
-                        if !p.eval_predicate(&inner_row)? {
-                            continue;
-                        }
-                    }
-                    let joined = outer_row.join(&inner_row);
                     if let Some(p) = &self.residual {
                         if !p.eval_predicate(&joined)? {
                             continue;
@@ -3296,6 +3300,32 @@ fn spill_partition(salt: u32, key: &[Value]) -> usize {
         value.hash(&mut hasher);
     }
     (hasher.finish() as usize) % SPILL_FANOUT
+}
+
+/// The index-NL fetch of one match (shared by the single-threaded operator and the
+/// parallel engine's index-probe step): decode inner row `row_id` into `scratch`,
+/// apply `inner_predicate` there, and return `outer ++ inner` built in one
+/// allocation. A rejected match allocates nothing; text values move by refcount.
+pub(crate) fn index_nl_fetch(
+    table: &Table,
+    row_id: usize,
+    outer: &Row,
+    inner_predicate: Option<&Expr>,
+    scratch: &mut Row,
+) -> Result<Option<Row>, ExecError> {
+    scratch.values_mut().clear();
+    if !table.decode_row_into(row_id, scratch) {
+        return Ok(None);
+    }
+    if let Some(p) = inner_predicate {
+        if !p.eval_predicate(scratch)? {
+            return Ok(None);
+        }
+    }
+    let mut joined = Row::with_capacity(outer.len() + scratch.len());
+    joined.values_mut().extend_from_slice(outer.values());
+    joined.values_mut().append(scratch.values_mut());
+    Ok(Some(joined))
 }
 
 /// Extract a join key from a row; returns `None` when any key column is NULL (NULL never

@@ -99,8 +99,8 @@
 
 use crate::error::ExecError;
 use crate::exec::{
-    bind as bind_exec, bind_opt as bind_exec_opt, extract_key, key_index as key_index_exec,
-    resolve_index_row_ids, scan_encoding_label, Accumulator,
+    bind as bind_exec, bind_opt as bind_exec_opt, extract_key, index_nl_fetch,
+    key_index as key_index_exec, resolve_index_row_ids, scan_encoding_label, Accumulator,
     BreakerEvent, BreakerKind, BreakerState, ExecEvent, MemoryPressureEvent, ObserverHandle,
     ProgressEvent, ProgressSource, RowBatch,
 };
@@ -761,6 +761,8 @@ impl Step {
                     None
                 };
                 let mut out = Vec::new();
+                // This worker's inner row of the match being fetched.
+                let mut scratch = Row::default();
                 for outer_row in &batch {
                     if shared.drop_inflight() {
                         break;
@@ -776,15 +778,16 @@ impl Step {
                         }
                     };
                     for &row_id in matches {
-                        let Some(inner_row) = table.row(row_id) else {
+                        let Some(joined) = index_nl_fetch(
+                            table,
+                            row_id,
+                            outer_row,
+                            inner_predicate.as_ref(),
+                            &mut scratch,
+                        )?
+                        else {
                             continue;
                         };
-                        if let Some(p) = inner_predicate {
-                            if !p.eval_predicate(&inner_row)? {
-                                continue;
-                            }
-                        }
-                        let joined = outer_row.join(&inner_row);
                         if let Some(p) = residual {
                             if !p.eval_predicate(&joined)? {
                                 continue;

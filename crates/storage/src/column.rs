@@ -216,7 +216,7 @@ impl ColumnData {
                 if code == NULL_CODE {
                     Value::Null
                 } else {
-                    Value::Text(dict.get(code).to_string())
+                    Value::Text(Arc::clone(dict.get_shared(code)))
                 }
             }
             ColumnData::Val(values) => values[idx].clone(),
@@ -551,6 +551,31 @@ mod tests {
             assert!(Arc::ptr_eq(a, b));
         } else {
             panic!("expected dict columns");
+        }
+    }
+
+    fn text_of(value: &Value) -> &Arc<str> {
+        match value {
+            Value::Text(s) => s,
+            other => panic!("expected text, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decoding_shares_the_dictionary_string() {
+        let mut c = ColumnData::new_for(DataType::Text);
+        c.push(Value::from("drama"));
+        c.push(Value::from("drama"));
+        let ColumnData::Dict { dict, .. } = &c else {
+            panic!("expected dict column");
+        };
+        let stored = Arc::clone(dict.get_shared(0));
+        let (first, second) = (c.value_at(0), c.value_at(1));
+        assert!(Arc::ptr_eq(text_of(&first), &stored));
+        assert!(Arc::ptr_eq(text_of(&first), text_of(&second)));
+        let rows = ColumnBatch::new(vec![c.slice(0..2)]).into_rows();
+        for row in &rows {
+            assert!(Arc::ptr_eq(text_of(row.value(0)), &stored));
         }
     }
 

@@ -11,8 +11,14 @@
 //! Besides decoding, the dictionary doubles as column metadata: it knows the exact
 //! distinct count (`len`) and the per-code occurrence count, which ANALYZE reads
 //! directly instead of re-hashing every row (see `reopt-catalog`).
+//!
+//! Each distinct string is stored once, as an `Arc<str>` that both the code table
+//! and the intern map point at. Decoding hands out a share of that allocation
+//! ([`StringDict::get_shared`]), so a decoded `Value::Text` costs a refcount bump,
+//! and a copy-on-write clone of the dictionary copies pointers, not strings.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The code stored for SQL NULL. Real codes are dense from 0, so a column would need
 /// ~4.3 billion distinct strings before colliding with the sentinel.
@@ -22,9 +28,9 @@ pub const NULL_CODE: u32 = u32::MAX;
 #[derive(Debug, Clone, Default)]
 pub struct StringDict {
     /// Code -> string, dense from 0.
-    values: Vec<String>,
-    /// String -> code.
-    intern: HashMap<String, u32>,
+    values: Vec<Arc<str>>,
+    /// String -> code, keyed on the same allocation as `values`.
+    intern: HashMap<Arc<str>, u32>,
     /// Code -> number of rows currently holding it (append-only, so this is exact).
     counts: Vec<u64>,
 }
@@ -54,8 +60,9 @@ impl StringDict {
         }
         let code = u32::try_from(self.values.len()).expect("dictionary overflow");
         assert_ne!(code, NULL_CODE, "dictionary exhausted the u32 code space");
-        self.values.push(s.to_string());
-        self.intern.insert(s.to_string(), code);
+        let shared: Arc<str> = Arc::from(s);
+        self.intern.insert(Arc::clone(&shared), code);
+        self.values.push(shared);
         self.counts.push(1);
         code
     }
@@ -70,8 +77,14 @@ impl StringDict {
         &self.values[code as usize]
     }
 
+    /// A share of the string behind a code (a refcount bump, no copy). Panics on
+    /// [`NULL_CODE`] or an unassigned code.
+    pub fn get_shared(&self, code: u32) -> &Arc<str> {
+        &self.values[code as usize]
+    }
+
     /// All strings in code order.
-    pub fn values(&self) -> &[String] {
+    pub fn values(&self) -> &[Arc<str>] {
         &self.values
     }
 
@@ -114,6 +127,23 @@ mod tests {
         assert_eq!(d.intern(""), 0);
         assert_eq!(d.get(0), "");
         assert_eq!(d.counts(), &[2, 1]);
+    }
+
+    #[test]
+    fn each_string_is_stored_once_and_shared() {
+        let mut d = StringDict::new();
+        d.intern("drama");
+        d.intern("drama");
+        let a = Arc::clone(d.get_shared(0));
+        let b = Arc::clone(d.get_shared(0));
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &d.values()[0]));
+        // The code table and the intern map hold the one allocation; `a` and `b`
+        // are the two shares taken above.
+        assert_eq!(Arc::strong_count(&a), 4);
+        // A copy-on-write clone copies pointers, not strings.
+        let clone = d.clone();
+        assert!(Arc::ptr_eq(clone.get_shared(0), d.get_shared(0)));
     }
 
     #[test]

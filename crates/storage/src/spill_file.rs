@@ -305,7 +305,7 @@ impl SpillReader {
                     if code as usize >= self.dict.len() {
                         return Err(corrupt("text code outside the run's dictionary"));
                     }
-                    Value::Text(self.dict.get(code).to_string())
+                    Value::Text(Arc::clone(self.dict.get_shared(code)))
                 }
                 _ => return Err(corrupt("unknown value tag")),
             };
@@ -384,6 +384,28 @@ mod tests {
         assert_eq!(run.bytes(), 13 * 1000);
         let mut reader = run.read().unwrap();
         assert_eq!(reader.next_row().unwrap().unwrap(), vec![Value::from("comedy")]);
+    }
+
+    #[test]
+    fn reloaded_text_shares_the_run_dictionary() {
+        let dir = SpillDir::create().unwrap();
+        let mut writer = SpillWriter::create(&dir).unwrap();
+        writer.write_row(&[Value::from("drama")]).unwrap();
+        writer.write_row(&[Value::from("drama")]).unwrap();
+        let run = writer.finish().unwrap();
+        let stored = Arc::clone(run.dict().get_shared(0));
+        let mut reader = run.read().unwrap();
+        for _ in 0..2 {
+            match &reader.next_row().unwrap().unwrap()[..] {
+                [Value::Text(s)] => assert!(Arc::ptr_eq(s, &stored)),
+                other => panic!("expected one text value, got {other:?}"),
+            }
+        }
+        // A second reader over the same run hands out the same shares.
+        match &run.read().unwrap().next_row().unwrap().unwrap()[..] {
+            [Value::Text(s)] => assert!(Arc::ptr_eq(s, &stored)),
+            other => panic!("expected one text value, got {other:?}"),
+        }
     }
 
     #[test]

@@ -106,12 +106,19 @@ impl Table {
 
     /// Decode a single row by id.
     pub fn row(&self, id: RowId) -> Option<Row> {
+        let mut row = Row::with_capacity(self.columns.len());
+        self.decode_row_into(id, &mut row).then_some(row)
+    }
+
+    /// Decode row `id` onto the end of `out`, with no intermediate [`Row`]. Returns
+    /// `false`, leaving `out` untouched, when `id` is out of range.
+    pub fn decode_row_into(&self, id: RowId, out: &mut Row) -> bool {
         if id >= self.row_count {
-            return None;
+            return false;
         }
-        Some(Row::from_values(
-            self.columns.iter().map(|c| c.value_at(id)).collect(),
-        ))
+        out.values_mut()
+            .extend(self.columns.iter().map(|c| c.value_at(id)));
+        true
     }
 
     /// Iterate over all rows, decoding each in append order.
