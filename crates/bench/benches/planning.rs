@@ -1,6 +1,7 @@
 //! Optimizer micro-benchmarks: planning latency vs. number of relations, DPccp vs.
-//! greedy enumeration (the ablation called out in DESIGN.md), and planning with the
-//! perfect oracle's override table in place.
+//! greedy enumeration (the ablation called out in DESIGN.md), planning with the
+//! perfect oracle's override table in place, and a whole planning pass over the JOB
+//! queries perfbench runs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use reopt_bench::{Harness, HarnessConfig};
@@ -130,10 +131,64 @@ fn csg_cmp_pair_enumeration(c: &mut Criterion) {
     group.finish();
 }
 
+/// One planning pass over perfbench's query set — the JOB queries joining at most 12
+/// relations, at scale 0.02 with data seed 13 — under perfbench's two optimizer
+/// configurations: the default one and the hash-join-only one of `job-outofcore-2t`.
+/// This is the layer micro-bench behind perfbench's `planner.plan_ms`.
+fn job_planning_pass(c: &mut Criterion) {
+    let harness = Harness::new(HarnessConfig {
+        scale: 0.02,
+        stride: 1,
+        seed: 13,
+        max_tables: 12,
+        ..HarnessConfig::default()
+    })
+    .expect("harness builds");
+    let selects: Vec<_> = harness
+        .selected_queries()
+        .iter()
+        .map(|q| parse_sql(&q.sql).unwrap().query().unwrap().clone())
+        .collect();
+    assert_eq!(selects.len(), 104, "perfbench plans 104 JOB queries");
+    let overrides = CardinalityOverrides::new();
+    let hash_only = OptimizerConfig {
+        enable_index_nl_joins: false,
+        enable_merge_joins: false,
+        ..OptimizerConfig::default()
+    };
+
+    let mut group = c.benchmark_group("job_planning_pass");
+    group.sample_size(10);
+    for (name, config) in [
+        ("default", OptimizerConfig::default()),
+        ("hash_only", hash_only),
+    ] {
+        let optimizer = Optimizer::new(config);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for select in &selects {
+                    black_box(
+                        optimizer
+                            .plan_select(
+                                select,
+                                harness.db.storage(),
+                                harness.db.catalog(),
+                                &overrides,
+                            )
+                            .expect("plans"),
+                    );
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     planning_by_relation_count,
     dpccp_vs_greedy,
-    csg_cmp_pair_enumeration
+    csg_cmp_pair_enumeration,
+    job_planning_pass
 );
 criterion_main!(benches);

@@ -2486,7 +2486,7 @@ impl SinkFactory for LimitSink {
 fn merge_build(hasher: RandomState, locals: Vec<BuildLocal>, engine: &Engine<'_>) -> JoinTable {
     fn merge_one(buckets: Vec<KeyedRows>) -> PartitionMap {
         let mut rows: KeyedRows = buckets.into_iter().flatten().collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows.sort_by_key(|r| r.0);
         let mut map: PartitionMap = HashMap::new();
         for (_, key, row) in rows {
             map.entry(key).or_default().push(row);
@@ -2508,7 +2508,7 @@ fn merge_build(hasher: RandomState, locals: Vec<BuildLocal>, engine: &Engine<'_>
             partition_inputs[part].push(bucket);
         }
     }
-    unkeyed_tagged.sort_by(|a, b| a.0.cmp(&b.0));
+    unkeyed_tagged.sort_by_key(|r| r.0);
     let unkeyed: Vec<Row> = unkeyed_tagged.into_iter().map(|(_, row)| row).collect();
     let parts: Vec<PartitionMap> = if engine.threads > 1 && keyed_total > 65_536 {
         // One pool job per partition; inputs and outputs live behind Arc'd slots

@@ -28,6 +28,7 @@
 //! regression tests can pin "repeated re-optimization rounds reuse the resident
 //! workers instead of spawning".
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -71,6 +72,24 @@ struct PoolInner {
     /// Workers currently parked inside a [`TaskHandle::blocking`] section; they
     /// hold a thread but cannot serve the queue, so the spawn cap excludes them.
     blocked: AtomicUsize,
+    /// Workers currently running a job (blocked ones included). Raised under the
+    /// state lock when a job is picked; lowered when the job hands off — retires a
+    /// [`Gate`] or submits its continuation — or, failing that, when it returns
+    /// (see [`release_busy_worker`]).
+    busy: AtomicUsize,
+}
+
+thread_local! {
+    /// On a pool worker: the pool whose `busy` count the running job holds.
+    static BUSY_IN: RefCell<Option<Arc<PoolInner>>> = const { RefCell::new(None) };
+}
+
+/// Count the calling pool worker as free again, once per job. A no-op on threads
+/// that are not running a pool job, or whose job already released itself.
+fn release_busy_worker() {
+    if let Some(pool) = BUSY_IN.with(|busy| busy.borrow_mut().take()) {
+        pool.busy.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl PoolInner {
@@ -108,6 +127,7 @@ impl PoolInner {
                 let mut state = self.state.lock().expect("pool state");
                 loop {
                     if let Some(job) = Self::pick(&mut state) {
+                        self.busy.fetch_add(1, Ordering::SeqCst);
                         break job;
                     }
                     state.idle += 1;
@@ -120,7 +140,9 @@ impl PoolInner {
             // its query's gate would never count down. Jobs signal failure through
             // their own shared query state (see `parallel::run_chain_slice`); the
             // payload is already reported there, so it is dropped here.
+            BUSY_IN.with(|busy| *busy.borrow_mut() = Some(Arc::clone(self)));
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+            release_busy_worker();
         }
     }
 
@@ -168,6 +190,7 @@ impl WorkerPool {
                 work: Condvar::new(),
                 spawned_total: AtomicUsize::new(0),
                 blocked: AtomicUsize::new(0),
+                busy: AtomicUsize::new(0),
             }),
         }
     }
@@ -198,15 +221,20 @@ impl WorkerPool {
         }
     }
 
-    /// Grow the pool so at least `n` workers are idle right now (best-effort:
-    /// concurrent submissions may grab them), without exceeding
-    /// [`MAX_POOL_THREADS`] total. Workers blocked inside jobs do not count as
-    /// idle, so a task queued behind long-running work still gets fresh threads
-    /// up to the cap.
+    /// Grow the pool so at least `n` workers are free right now — parked, still
+    /// starting up, or done with their job (best-effort: concurrent submissions
+    /// may grab them) — without exceeding [`MAX_POOL_THREADS`] total. Workers
+    /// running a job (blocked ones included) do not count, so a task queued
+    /// behind long-running work still gets fresh threads up to the cap. Counting
+    /// only *parked* workers would spawn spuriously whenever a coordinator starts
+    /// its next pipeline right after the previous one's gate released, before
+    /// that pipeline's workers are back on the condvar.
     pub fn ensure_available(&self, n: usize) {
         let deficit = {
-            let state = self.inner.state.lock().expect("pool state");
-            n.saturating_sub(state.idle)
+            let _state = self.inner.state.lock().expect("pool state");
+            let spawned = self.inner.spawned_total.load(Ordering::SeqCst);
+            let free = spawned.saturating_sub(self.inner.busy.load(Ordering::SeqCst));
+            n.saturating_sub(free)
         };
         for _ in 0..deficit {
             if !self.inner.try_spawn_worker() {
@@ -236,8 +264,11 @@ pub struct TaskHandle {
 }
 
 impl TaskHandle {
-    /// Enqueue a job at the back of this task's queue.
+    /// Enqueue a job at the back of this task's queue. Called from inside a pool
+    /// job, this is that job's last act (a chain re-enqueuing its next slice): its
+    /// worker counts as free from here on, as after [`Gate::done_one`].
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
+        release_busy_worker();
         let needs_worker = {
             let mut state = self.pool.state.lock().expect("pool state");
             if let Some(slot) = state.slots.iter_mut().find(|slot| slot.id == self.id) {
@@ -340,8 +371,14 @@ impl Gate {
         }
     }
 
-    /// Retire one chain. Called by pool workers when their chain finishes.
+    /// Retire one chain. Called by a pool job as its last act: from here on its
+    /// worker counts as free for [`WorkerPool::ensure_available`]. The call wakes
+    /// the coordinator, which may launch its next pipeline at once — possibly
+    /// before this worker is scheduled again to return to the pool. (Submitting
+    /// a job wakes a worker the same way, hence the same rule in
+    /// [`TaskHandle::submit`].)
     pub fn done_one(&self) {
+        release_busy_worker();
         let mut remaining = self.remaining.lock().expect("gate");
         *remaining = remaining.saturating_sub(1);
         if *remaining == 0 {
@@ -531,6 +568,40 @@ mod tests {
         done.wait_pumping(&|| {});
         assert!(pool.threads_spawned_total() >= 2, "replacement was spawned");
         release.done_one();
+    }
+
+    #[test]
+    fn workers_not_running_a_job_count_as_available() {
+        let pool = WorkerPool::new();
+        pool.ensure_available(2);
+        // Straight away, before the fresh threads have parked: they run no job,
+        // so a repeated request must not spawn more.
+        pool.ensure_available(2);
+        assert_eq!(pool.threads_spawned_total(), 2);
+        // A worker busy with a job is not available; one more is spawned for it.
+        // (Entry is signalled through a channel: retiring a gate frees the worker.)
+        let task = pool.register(1);
+        let release = Arc::new(Gate::new(1));
+        let done = Arc::new(Gate::new(1));
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        {
+            let release = Arc::clone(&release);
+            let done = Arc::clone(&done);
+            task.submit(move || {
+                entered_tx.send(()).unwrap();
+                release.wait_pumping(&|| {});
+                done.done_one();
+            });
+        }
+        entered.recv().unwrap();
+        pool.ensure_available(2);
+        assert_eq!(pool.threads_spawned_total(), 3);
+        // Once the job has retired its gate, its worker counts as free again,
+        // even if it has not yet returned to the pool.
+        release.done_one();
+        done.wait_pumping(&|| {});
+        pool.ensure_available(3);
+        assert_eq!(pool.threads_spawned_total(), 3);
     }
 
     #[test]

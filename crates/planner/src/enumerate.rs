@@ -20,14 +20,14 @@
 //! exactly the failure mode the paper's query 18a walk-through describes.
 
 use crate::cardinality::CardinalityEstimator;
-use crate::cost::CostModel;
+use crate::cost::{Cost, CostModel};
 use crate::error::PlanError;
 use crate::graph::JoinGraph;
 use crate::optimizer::OptimizerConfig;
 use crate::plan::{PhysicalPlan, PlanKind};
 use crate::relset::RelSet;
-use crate::spec::QuerySpec;
-use reopt_expr::{conjoin, Expr};
+use crate::spec::{JoinEdge, QuerySpec};
+use reopt_expr::{conjoin, ColumnRef, Expr};
 use std::collections::HashMap;
 
 /// Which enumeration strategy to use.
@@ -49,6 +49,7 @@ pub trait IndexInfo {
 }
 
 /// Which join algorithm (and orientation) won the pricing race for one sub-plan pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JoinChoiceKind {
     /// Hash join; `swapped` means the right input is the probe side.
     Hash { swapped: bool },
@@ -60,13 +61,66 @@ enum JoinChoiceKind {
     NestedLoop,
 }
 
-/// A priced join decision: the winning algorithm plus the context needed to build the
-/// plan node without re-deriving edges, complex predicates or the output estimate.
-struct JoinChoice<'a> {
+/// One input of a candidate join as pricing sees it: the relations it covers and the
+/// cost and output estimate of its best plan. Pricing never touches a plan tree.
+#[derive(Debug, Clone, Copy)]
+struct JoinSide {
+    rel_set: RelSet,
+    cost: Cost,
+    estimated_rows: f64,
+}
+
+impl JoinSide {
+    fn of(plan: &PhysicalPlan) -> Self {
+        Self {
+            rel_set: plan.rel_set,
+            cost: plan.cost,
+            estimated_rows: plan.estimated_rows,
+        }
+    }
+}
+
+/// A priced join decision: the winning algorithm and the join's output estimate. The
+/// join keys and residual predicates are re-derived from the two inputs' relation sets
+/// when the node is built ([`JoinEnumerator::join_node`]), once per join of the final
+/// tree rather than once per priced pair.
+#[derive(Debug, Clone, Copy)]
+struct JoinChoice {
     algorithm: JoinChoiceKind,
-    edges: Vec<&'a crate::spec::JoinEdge>,
-    complex: Vec<Expr>,
     output_rows: f64,
+}
+
+/// The best plan found so far for one connected relation set, kept as its cost, its
+/// output estimate and — for a join — the two halves and algorithm it joins. Both
+/// enumerators fill a table of these; the plan tree is built once, from the winning
+/// splits, after the search ([`JoinEnumerator::build`]).
+#[derive(Debug, Clone, Copy)]
+struct TableEntry {
+    cost: Cost,
+    estimated_rows: f64,
+    /// `None` for a base relation, whose plan is the access path passed in.
+    split: Option<(RelSet, RelSet, JoinChoiceKind)>,
+}
+
+impl TableEntry {
+    fn side(&self, rel_set: RelSet) -> JoinSide {
+        JoinSide {
+            rel_set,
+            cost: self.cost,
+            estimated_rows: self.estimated_rows,
+        }
+    }
+}
+
+/// Best entry per connected relation set.
+type JoinTable = HashMap<RelSet, TableEntry>;
+
+/// Keep `(cost, algorithm)` if it is strictly cheaper (by total) than the current
+/// best, so the first of equal minima wins, as with `Iterator::min_by`.
+fn keep_cheaper(best: &mut Option<(Cost, JoinChoiceKind)>, cost: Cost, algorithm: JoinChoiceKind) {
+    if best.map_or(true, |(current, _)| cost.total < current.total) {
+        *best = Some((cost, algorithm));
+    }
 }
 
 /// The join enumerator.
@@ -107,27 +161,44 @@ impl<'a> JoinEnumerator<'a> {
         base_plans: Vec<PhysicalPlan>,
         algorithm: EnumerationAlgorithm,
     ) -> Result<PhysicalPlan, PlanError> {
-        assert_eq!(base_plans.len(), self.spec.relation_count());
-        if base_plans.len() == 1 {
+        let n = base_plans.len();
+        assert_eq!(n, self.spec.relation_count());
+        if n == 1 {
             return Ok(base_plans.into_iter().next().expect("one plan"));
         }
         if !self.graph.is_fully_connected() {
             return Err(PlanError::DisconnectedJoinGraph);
         }
+        let bases: Vec<JoinSide> = base_plans.iter().map(JoinSide::of).collect();
+        let mut table: JoinTable = bases
+            .iter()
+            .map(|side| {
+                let entry = TableEntry {
+                    cost: side.cost,
+                    estimated_rows: side.estimated_rows,
+                    split: None,
+                };
+                (side.rel_set, entry)
+            })
+            .collect();
         match algorithm {
-            EnumerationAlgorithm::DpCcp => self.dpccp(base_plans),
-            EnumerationAlgorithm::Greedy => self.greedy(base_plans),
+            EnumerationAlgorithm::DpCcp => self.dpccp(&mut table, n),
+            EnumerationAlgorithm::Greedy => self.greedy(&mut table, bases)?,
         }
+        let root = RelSet::all(n);
+        if !table.contains_key(&root) {
+            return Err(PlanError::DisconnectedJoinGraph);
+        }
+        let mut leaves: HashMap<RelSet, PhysicalPlan> = base_plans
+            .into_iter()
+            .map(|plan| (plan.rel_set, plan))
+            .collect();
+        Ok(self.build(&table, &mut leaves, root))
     }
 
-    /// Exhaustive DP over csg-cmp pairs.
-    fn dpccp(&self, base_plans: Vec<PhysicalPlan>) -> Result<PhysicalPlan, PlanError> {
-        let n = base_plans.len();
-        let mut best: HashMap<RelSet, PhysicalPlan> = HashMap::new();
-        for plan in base_plans {
-            best.insert(plan.rel_set, plan);
-        }
-
+    /// Exhaustive DP over csg-cmp pairs: fill `table` with the cheapest split of every
+    /// connected relation set.
+    fn dpccp(&self, table: &mut JoinTable, n: usize) {
         // Process pairs in increasing size of the joined set so sub-plans exist:
         // bucket by size (O(pairs)) instead of sorting the whole pair list.
         let pairs = enumerate_csg_cmp_pairs(self.graph, n);
@@ -137,38 +208,37 @@ impl<'a> JoinEnumerator<'a> {
         }
 
         for (s1, s2) in buckets.into_iter().flatten() {
-            let combined = s1.union(s2);
-            let candidate = {
-                let (Some(left), Some(right)) = (best.get(&s1), best.get(&s2)) else {
-                    continue;
-                };
-                // Price every join strategy first; a plan (with its cloned subtrees)
-                // is only materialized when the winner actually improves the DP table.
-                let Some((cost, choice)) = self.cheapest_join(left, right) else {
-                    continue;
-                };
-                match best.get(&combined) {
-                    Some(existing) if !cost.is_cheaper_than(existing.cost) => continue,
-                    _ => self.materialize_join(left, right, &choice),
-                }
+            let (Some(left), Some(right)) = (table.get(&s1), table.get(&s2)) else {
+                continue;
             };
-            best.insert(combined, candidate);
+            let Some((cost, choice)) = self.cheapest_join(left.side(s1), right.side(s2)) else {
+                continue;
+            };
+            let combined = s1.union(s2);
+            if table
+                .get(&combined)
+                .is_some_and(|existing| !cost.is_cheaper_than(existing.cost))
+            {
+                continue;
+            }
+            let entry = TableEntry {
+                cost,
+                estimated_rows: choice.output_rows,
+                split: Some((s1, s2, choice.algorithm)),
+            };
+            table.insert(combined, entry);
         }
-
-        best.remove(&RelSet::all(n))
-            .ok_or(PlanError::DisconnectedJoinGraph)
     }
 
     /// Greedy operator ordering: repeatedly join the connected pair of components with
-    /// the smallest estimated result.
-    fn greedy(&self, base_plans: Vec<PhysicalPlan>) -> Result<PhysicalPlan, PlanError> {
-        let mut components: Vec<PhysicalPlan> = base_plans;
+    /// the smallest estimated result, recording each join in `table`.
+    fn greedy(&self, table: &mut JoinTable, bases: Vec<JoinSide>) -> Result<(), PlanError> {
+        let mut components = bases;
         while components.len() > 1 {
-            let mut best_pair: Option<(usize, usize, crate::cost::Cost, JoinChoice<'a>)> = None;
+            let mut best_pair: Option<(usize, usize, Cost, JoinChoice)> = None;
             for i in 0..components.len() {
                 for j in (i + 1)..components.len() {
-                    let Some((cost, choice)) =
-                        self.cheapest_join(&components[i], &components[j])
+                    let Some((cost, choice)) = self.cheapest_join(components[i], components[j])
                     else {
                         continue;
                     };
@@ -185,60 +255,54 @@ impl<'a> JoinEnumerator<'a> {
                     }
                 }
             }
-            // Only the round's winner is materialized into a plan node.
-            let Some((i, j, _, choice)) = best_pair else {
+            let Some((i, j, cost, choice)) = best_pair else {
                 return Err(PlanError::DisconnectedJoinGraph);
             };
-            let joined = self.materialize_join(&components[i], &components[j], &choice);
+            let (left, right) = (components[i].rel_set, components[j].rel_set);
+            let joined = JoinSide {
+                rel_set: left.union(right),
+                cost,
+                estimated_rows: choice.output_rows,
+            };
+            table.insert(
+                joined.rel_set,
+                TableEntry {
+                    cost,
+                    estimated_rows: choice.output_rows,
+                    split: Some((left, right, choice.algorithm)),
+                },
+            );
             // Remove j first (it is the larger index).
             components.remove(j);
             components.remove(i);
             components.push(joined);
         }
-        Ok(components.into_iter().next().expect("one component"))
+        Ok(())
     }
 
-    /// The cheapest way to join two disjoint sub-plans, or `None` if no join edge
-    /// connects them (Cartesian products are not considered).
-    pub fn best_join(
-        &self,
-        left: &PhysicalPlan,
-        right: &PhysicalPlan,
-    ) -> Option<PhysicalPlan> {
-        let (_, choice) = self.cheapest_join(left, right)?;
-        Some(self.materialize_join(left, right, &choice))
-    }
-
-    /// Price every enabled join strategy for two disjoint sub-plans and return the
-    /// winner's cost plus a descriptor that [`Self::materialize_join`] can turn into a
-    /// plan. Costing does not clone the sub-plans, so losing strategies (and DP
-    /// candidates that never beat the table) cost nothing but arithmetic.
-    fn cheapest_join(
-        &self,
-        left: &PhysicalPlan,
-        right: &PhysicalPlan,
-    ) -> Option<(crate::cost::Cost, JoinChoice<'a>)> {
-        let edges = self.spec.edges_between(left.rel_set, right.rel_set);
-        if edges.is_empty() {
+    /// Price every enabled join strategy for two disjoint inputs and return the
+    /// winner's cost and choice, or `None` if no join edge connects them (Cartesian
+    /// products are not considered). Allocation-free: it counts the connecting edges
+    /// and complex predicates rather than collecting them.
+    fn cheapest_join(&self, left: JoinSide, right: JoinSide) -> Option<(Cost, JoinChoice)> {
+        // Every edge between the two disjoint sets orients and contributes a join key.
+        let key_count = self.spec.edges_between(left.rel_set, right.rel_set).count();
+        if key_count == 0 {
             return None;
         }
         let combined = left.rel_set.union(right.rel_set);
         let output_rows = self.estimator.estimate(combined).max(1.0);
-        let complex: Vec<Expr> = self
+        let complex_count = self
             .spec
             .complex_predicates_for_join(left.rel_set, right.rel_set)
-            .into_iter()
-            .cloned()
-            .collect();
-        // Every edge from `edges_between` spans the two disjoint sets, so each one
-        // orients and contributes a join key.
-        let key_count = edges.len();
+            .count();
 
-        let mut candidates: Vec<(crate::cost::Cost, JoinChoiceKind)> = Vec::new();
+        let mut best: Option<(Cost, JoinChoiceKind)> = None;
 
         // Hash joins, both build directions.
         if self.config.enable_hash_joins {
-            candidates.push((
+            keep_cheaper(
+                &mut best,
                 self.cost_model.hash_join(
                     left.cost,
                     right.cost,
@@ -248,8 +312,9 @@ impl<'a> JoinEnumerator<'a> {
                     key_count,
                 ),
                 JoinChoiceKind::Hash { swapped: false },
-            ));
-            candidates.push((
+            );
+            keep_cheaper(
+                &mut best,
                 self.cost_model.hash_join(
                     right.cost,
                     left.cost,
@@ -259,12 +324,13 @@ impl<'a> JoinEnumerator<'a> {
                     key_count,
                 ),
                 JoinChoiceKind::Hash { swapped: true },
-            ));
+            );
         }
 
         // Merge join (one orientation; cost is symmetric in our model).
         if self.config.enable_merge_joins {
-            candidates.push((
+            keep_cheaper(
+                &mut best,
                 self.cost_model.merge_join(
                     left.cost,
                     right.cost,
@@ -274,116 +340,95 @@ impl<'a> JoinEnumerator<'a> {
                     key_count,
                 ),
                 JoinChoiceKind::Merge,
-            ));
+            );
         }
 
         // Index nested-loop joins when one side is a single base relation with an index
         // on a join-key column.
         if self.config.enable_index_nl_joins {
-            if let Some(cost) = self.index_nl_cost(left, right, &edges, &complex, output_rows) {
-                candidates.push((cost, JoinChoiceKind::IndexNl { swapped: false }));
-            }
-            if let Some(cost) = self.index_nl_cost(right, left, &edges, &complex, output_rows) {
-                candidates.push((cost, JoinChoiceKind::IndexNl { swapped: true }));
+            for (outer, inner, swapped) in [(left, right, false), (right, left, true)] {
+                if self.index_nl_key(outer.rel_set, inner.rel_set).is_some() {
+                    let cost = self.index_nl_cost(
+                        outer,
+                        inner.rel_set,
+                        key_count,
+                        complex_count,
+                        output_rows,
+                    );
+                    keep_cheaper(&mut best, cost, JoinChoiceKind::IndexNl { swapped });
+                }
             }
         }
 
         // Plain nested loop as a last resort (always available once there is an edge).
-        if candidates.is_empty() {
-            candidates.push((
-                self.cost_model.nested_loop_join(
-                    left.cost,
-                    right.cost,
-                    left.estimated_rows,
-                    right.estimated_rows,
-                    output_rows,
-                ),
-                JoinChoiceKind::NestedLoop,
-            ));
-        }
-
-        let (cost, algorithm) = candidates.into_iter().min_by(|a, b| {
-            a.0.total
-                .partial_cmp(&b.0.total)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })?;
+        let (cost, algorithm) = best.unwrap_or_else(|| {
+            let cost = self.cost_model.nested_loop_join(
+                left.cost,
+                right.cost,
+                left.estimated_rows,
+                right.estimated_rows,
+                output_rows,
+            );
+            (cost, JoinChoiceKind::NestedLoop)
+        });
         Some((
             cost,
             JoinChoice {
                 algorithm,
-                edges,
-                complex,
                 output_rows,
             },
         ))
     }
 
-    /// Build the plan a [`Self::cheapest_join`] descriptor stands for (this is where
-    /// the sub-plans are cloned into the join node).
-    fn materialize_join(
+    /// Build the plan tree for `set` from the winning splits in `table`, moving each
+    /// base relation's access path out of `leaves`. Nothing is cloned: every join node
+    /// takes ownership of its freshly built children.
+    fn build(
         &self,
-        left: &PhysicalPlan,
-        right: &PhysicalPlan,
-        choice: &JoinChoice<'a>,
+        table: &JoinTable,
+        leaves: &mut HashMap<RelSet, PhysicalPlan>,
+        set: RelSet,
     ) -> PhysicalPlan {
-        let JoinChoice {
-            algorithm,
-            edges,
-            complex,
-            output_rows,
-        } = choice;
-        match algorithm {
-            JoinChoiceKind::Hash { swapped: false } => {
-                self.hash_join(left, right, edges, complex, *output_rows)
-            }
-            JoinChoiceKind::Hash { swapped: true } => {
-                self.hash_join(right, left, edges, complex, *output_rows)
-            }
-            JoinChoiceKind::Merge => self.merge_join(left, right, edges, complex, *output_rows),
-            JoinChoiceKind::IndexNl { swapped: false } => self
-                .index_nl_join(left, right, edges, complex, *output_rows)
-                .expect("priced index nested-loop candidate materializes"),
-            JoinChoiceKind::IndexNl { swapped: true } => self
-                .index_nl_join(right, left, edges, complex, *output_rows)
-                .expect("priced index nested-loop candidate materializes"),
-            JoinChoiceKind::NestedLoop => {
-                self.nested_loop_join(left, right, edges, complex, *output_rows)
-            }
-        }
+        let entry = table[&set];
+        let Some((left, right, algorithm)) = entry.split else {
+            return leaves
+                .remove(&set)
+                .expect("every base relation is built exactly once");
+        };
+        let left = self.build(table, leaves, left);
+        let right = self.build(table, leaves, right);
+        self.join_node(left, right, algorithm, entry.cost, entry.estimated_rows)
     }
 
     /// The index-lookup key for an index nested-loop join with `inner` as the single
-    /// indexed base relation: the first orientable edge whose inner-side column has an
-    /// index (a non-orientable edge aborts the candidate, as in the seed enumerator).
-    /// Shared by pricing and materialization so their eligibility cannot drift.
-    fn index_nl_key(
-        &self,
-        inner: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-    ) -> Option<(usize, reopt_expr::ColumnRef, reopt_expr::ColumnRef)> {
-        if inner.rel_set.len() != 1 {
+    /// indexed base relation: the position (among the edges between `outer` and
+    /// `inner`) of the first edge whose inner-side column has an index. Shared by
+    /// pricing and building so their eligibility cannot drift.
+    fn index_nl_key(&self, outer: RelSet, inner: RelSet) -> Option<usize> {
+        if inner.len() != 1 {
             return None;
         }
-        let inner_rel = inner.rel_set.min_index().expect("single relation");
-        for (edge_idx, edge) in edges.iter().enumerate() {
-            let (inner_col, outer_col) = edge.oriented(inner.rel_set)?;
+        let inner_rel = inner.min_index().expect("single relation");
+        for (edge_idx, edge) in self.spec.edges_between(outer, inner).enumerate() {
+            let (inner_col, _) = edge.oriented_ref(inner)?;
             if self.index_info.has_index(inner_rel, &inner_col.name) {
-                return Some((edge_idx, inner_col, outer_col));
+                return Some(edge_idx);
             }
         }
         None
     }
 
-    /// The cost of an index nested-loop join with `inner_rel` as the indexed base
-    /// relation (shared by [`Self::cheapest_join`] and [`Self::index_nl_join`]).
-    fn index_nl_cost_for(
+    /// The cost of an index nested-loop join of `outer` with the indexed base relation
+    /// `inner`.
+    fn index_nl_cost(
         &self,
-        outer: &PhysicalPlan,
-        inner_rel: usize,
+        outer: JoinSide,
+        inner: RelSet,
         edge_count: usize,
         complex_count: usize,
         output_rows: f64,
-    ) -> crate::cost::Cost {
+    ) -> Cost {
+        let inner_rel = inner.min_index().expect("single relation");
         let inner_table_rows = self.index_info.table_rows(inner_rel);
         let matches_per_lookup =
             (output_rows / outer.estimated_rows.max(1.0)).clamp(0.1, inner_table_rows);
@@ -399,162 +444,106 @@ impl<'a> JoinEnumerator<'a> {
         )
     }
 
-    /// The cost of an index nested-loop join with `inner` as the indexed base relation,
-    /// if possible (pricing counterpart of [`Self::index_nl_join`]).
-    fn index_nl_cost(
+    /// The join node for a priced split: derives the keys and residual predicates from
+    /// the two inputs' relation sets and takes ownership of the inputs. `cost` and
+    /// `output_rows` are what [`Self::cheapest_join`] priced for this split.
+    fn join_node(
         &self,
-        outer: &PhysicalPlan,
-        inner: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-        complex: &[Expr],
-        output_rows: f64,
-    ) -> Option<crate::cost::Cost> {
-        self.index_nl_key(inner, edges)?;
-        let inner_rel = inner.rel_set.min_index().expect("single relation");
-        Some(self.index_nl_cost_for(outer, inner_rel, edges.len(), complex.len(), output_rows))
-    }
-
-    fn join_keys(
-        &self,
-        outer: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-    ) -> Vec<(reopt_expr::ColumnRef, reopt_expr::ColumnRef)> {
-        edges
-            .iter()
-            .filter_map(|edge| edge.oriented(outer.rel_set))
-            .collect()
-    }
-
-    fn hash_join(
-        &self,
-        outer: &PhysicalPlan,
-        build: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-        complex: &[Expr],
+        left: PhysicalPlan,
+        right: PhysicalPlan,
+        algorithm: JoinChoiceKind,
+        cost: Cost,
         output_rows: f64,
     ) -> PhysicalPlan {
-        let keys = self.join_keys(outer, edges);
-        let cost = self.cost_model.hash_join(
-            outer.cost,
-            build.cost,
-            outer.estimated_rows,
-            build.estimated_rows,
-            output_rows,
-            keys.len(),
-        );
-        PhysicalPlan {
-            kind: PlanKind::HashJoin {
-                keys,
-                residual: conjoin(complex),
-            },
-            schema: outer.schema.join(&build.schema),
-            estimated_rows: output_rows,
-            cost,
-            rel_set: outer.rel_set.union(build.rel_set),
-            children: vec![outer.clone(), build.clone()],
-        }
-    }
-
-    fn merge_join(
-        &self,
-        left: &PhysicalPlan,
-        right: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-        complex: &[Expr],
-        output_rows: f64,
-    ) -> PhysicalPlan {
-        let keys = self.join_keys(left, edges);
-        let cost = self.cost_model.merge_join(
-            left.cost,
-            right.cost,
-            left.estimated_rows,
-            right.estimated_rows,
-            output_rows,
-            keys.len(),
-        );
-        PhysicalPlan {
-            kind: PlanKind::MergeJoin {
-                keys,
-                residual: conjoin(complex),
-            },
-            schema: left.schema.join(&right.schema),
-            estimated_rows: output_rows,
-            cost,
-            rel_set: left.rel_set.union(right.rel_set),
-            children: vec![left.clone(), right.clone()],
-        }
-    }
-
-    fn nested_loop_join(
-        &self,
-        outer: &PhysicalPlan,
-        inner: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-        complex: &[Expr],
-        output_rows: f64,
-    ) -> PhysicalPlan {
-        let mut predicates: Vec<Expr> = edges.iter().map(|e| e.to_expr()).collect();
-        predicates.extend(complex.iter().cloned());
-        let cost = self.cost_model.nested_loop_join(
-            outer.cost,
-            inner.cost,
-            outer.estimated_rows,
-            inner.estimated_rows,
-            output_rows,
-        );
-        PhysicalPlan {
-            kind: PlanKind::NestedLoopJoin {
-                predicate: conjoin(&predicates),
-            },
-            schema: outer.schema.join(&inner.schema),
-            estimated_rows: output_rows,
-            cost,
-            rel_set: outer.rel_set.union(inner.rel_set),
-            children: vec![outer.clone(), inner.clone()],
-        }
-    }
-
-    /// An index nested-loop join with `inner` as the indexed base relation, if possible.
-    fn index_nl_join(
-        &self,
-        outer: &PhysicalPlan,
-        inner: &PhysicalPlan,
-        edges: &[&crate::spec::JoinEdge],
-        complex: &[Expr],
-        output_rows: f64,
-    ) -> Option<PhysicalPlan> {
-        let (chosen_idx, inner_col, outer_col) = self.index_nl_key(inner, edges)?;
-        let inner_rel = inner.rel_set.min_index().expect("single relation");
-        let relation = &self.spec.relations[inner_rel];
-
-        // Remaining join edges (beyond the index key) plus complex predicates are
-        // residual filters on the joined row.
-        let mut residual: Vec<Expr> = edges
-            .iter()
-            .enumerate()
-            .filter(|(edge_idx, _)| *edge_idx != chosen_idx)
-            .map(|(_, e)| e.to_expr())
+        let edges: Vec<&JoinEdge> = self
+            .spec
+            .edges_between(left.rel_set, right.rel_set)
             .collect();
-        residual.extend(complex.iter().cloned());
-
-        let inner_predicate = conjoin(&self.spec.local_predicates[inner_rel]);
-        let cost = self.index_nl_cost_for(outer, inner_rel, edges.len(), complex.len(), output_rows);
-        Some(PhysicalPlan {
-            kind: PlanKind::IndexNestedLoopJoin {
-                inner_rel,
-                inner_alias: relation.alias.clone(),
-                inner_table: relation.table.clone(),
-                outer_key: outer_col,
-                inner_key: inner_col.name.clone(),
-                inner_predicate,
-                residual: conjoin(&residual),
-            },
-            schema: outer.schema.join(&relation.schema),
+        let complex: Vec<Expr> = self
+            .spec
+            .complex_predicates_for_join(left.rel_set, right.rel_set)
+            .cloned()
+            .collect();
+        let rel_set = left.rel_set.union(right.rel_set);
+        let join_keys = |outer: RelSet| -> Vec<(ColumnRef, ColumnRef)> {
+            edges
+                .iter()
+                .filter_map(|edge| edge.oriented(outer))
+                .collect()
+        };
+        let (kind, schema, children) = match algorithm {
+            JoinChoiceKind::Hash { swapped } => {
+                let (outer, build) = if swapped {
+                    (right, left)
+                } else {
+                    (left, right)
+                };
+                let kind = PlanKind::HashJoin {
+                    keys: join_keys(outer.rel_set),
+                    residual: conjoin(&complex),
+                };
+                (kind, outer.schema.join(&build.schema), vec![outer, build])
+            }
+            JoinChoiceKind::Merge => {
+                let kind = PlanKind::MergeJoin {
+                    keys: join_keys(left.rel_set),
+                    residual: conjoin(&complex),
+                };
+                (kind, left.schema.join(&right.schema), vec![left, right])
+            }
+            JoinChoiceKind::NestedLoop => {
+                let mut predicates: Vec<Expr> = edges.iter().map(|e| e.to_expr()).collect();
+                predicates.extend(complex);
+                let kind = PlanKind::NestedLoopJoin {
+                    predicate: conjoin(&predicates),
+                };
+                (kind, left.schema.join(&right.schema), vec![left, right])
+            }
+            JoinChoiceKind::IndexNl { swapped } => {
+                // The inner base relation is read through its index, so its access
+                // path is dropped; only the outer input stays a child.
+                let (outer, inner) = if swapped {
+                    (right, left)
+                } else {
+                    (left, right)
+                };
+                let chosen_idx = self
+                    .index_nl_key(outer.rel_set, inner.rel_set)
+                    .expect("priced index nested-loop candidate has an index key");
+                let (inner_col, outer_col) = edges[chosen_idx]
+                    .oriented(inner.rel_set)
+                    .expect("index key edge spans the join");
+                let inner_rel = inner.rel_set.min_index().expect("single relation");
+                let relation = &self.spec.relations[inner_rel];
+                // Remaining join edges (beyond the index key) plus complex predicates
+                // are residual filters on the joined row.
+                let mut residual: Vec<Expr> = edges
+                    .iter()
+                    .enumerate()
+                    .filter(|(edge_idx, _)| *edge_idx != chosen_idx)
+                    .map(|(_, e)| e.to_expr())
+                    .collect();
+                residual.extend(complex);
+                let kind = PlanKind::IndexNestedLoopJoin {
+                    inner_rel,
+                    inner_alias: relation.alias.clone(),
+                    inner_table: relation.table.clone(),
+                    outer_key: outer_col,
+                    inner_key: inner_col.name,
+                    inner_predicate: conjoin(&self.spec.local_predicates[inner_rel]),
+                    residual: conjoin(&residual),
+                };
+                (kind, outer.schema.join(&relation.schema), vec![outer])
+            }
+        };
+        PhysicalPlan {
+            kind,
+            schema,
             estimated_rows: output_rows,
             cost,
-            rel_set: outer.rel_set.union(inner.rel_set),
-            children: vec![outer.clone()],
-        })
+            rel_set,
+            children,
+        }
     }
 }
 
@@ -634,8 +623,10 @@ fn enumerate_cmp_rec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{JoinEdge, RelationSpec};
-    use reopt_expr::ColumnRef;
+    use crate::cardinality::CardinalityOverrides;
+    use crate::plan::JoinAlgorithm;
+    use crate::spec::RelationSpec;
+    use reopt_catalog::Catalog;
     use reopt_sql::{SelectExpr, SelectItem};
     use reopt_storage::{Column, DataType, Schema};
     use std::collections::HashSet;
@@ -691,7 +682,7 @@ mod tests {
                 if !s1.is_disjoint(s2) || !graph.is_connected(s2) {
                     continue;
                 }
-                if !spec.edges_between(s1, s2).is_empty() {
+                if spec.edges_between(s1, s2).next().is_some() {
                     count += 1;
                 }
             }
@@ -709,7 +700,7 @@ mod tests {
             assert!(graph.is_connected(*s1), "{s1} not connected");
             assert!(graph.is_connected(*s2), "{s2} not connected");
             assert!(s1.is_disjoint(*s2));
-            assert!(!spec.edges_between(*s1, *s2).is_empty());
+            assert!(spec.edges_between(*s1, *s2).next().is_some());
             let key = if s1.mask() < s2.mask() {
                 (s1.mask(), s2.mask())
             } else {
@@ -754,6 +745,324 @@ mod tests {
         let graph = JoinGraph::new(&spec);
         let pairs = enumerate_csg_cmp_pairs(&graph, 2);
         assert_eq!(pairs.len(), 1);
+    }
+
+    /// Stub [`IndexInfo`]: relation `rel` has an index on every column iff
+    /// `indexed[rel]`, over a table of `rows[rel]` rows.
+    struct StubIndexes {
+        indexed: Vec<bool>,
+        rows: Vec<f64>,
+    }
+
+    impl IndexInfo for StubIndexes {
+        fn has_index(&self, rel: usize, _column: &str) -> bool {
+            self.indexed[rel]
+        }
+
+        fn table_rows(&self, rel: usize) -> f64 {
+            self.rows[rel]
+        }
+    }
+
+    /// SplitMix64, for seeded oracle cases.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[(self.next() % items.len() as u64) as usize]
+        }
+    }
+
+    type Edges = &'static [(usize, usize)];
+
+    /// The join graphs of the oracle checks (n <= 6): name, relations, edges.
+    const ORACLE_SHAPES: [(&str, usize, Edges); 5] = [
+        ("chain", 5, &[(0, 1), (1, 2), (2, 3), (3, 4)]),
+        ("star", 5, &[(0, 1), (0, 2), (0, 3), (0, 4)]),
+        ("cycle", 5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+        (
+            "clique",
+            4,
+            &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+        ),
+        ("snowflake", 6, &[(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]),
+    ];
+
+    /// Seeded base-table sizes, indexes and injected cardinalities (of base relations
+    /// and of a few joined pairs), so that different shapes and algorithms win.
+    fn oracle_inputs(
+        seed: u64,
+        n: usize,
+        edges: &[(usize, usize)],
+    ) -> (StubIndexes, CardinalityOverrides) {
+        let mut mix = Mix(seed);
+        let rows: Vec<f64> = (0..n)
+            .map(|_| mix.pick(&[50.0, 2_000.0, 40_000.0, 900_000.0]))
+            .collect();
+        let indexed: Vec<bool> = (0..n).map(|_| mix.next() % 3 != 0).collect();
+        let mut overrides = CardinalityOverrides::new();
+        for (rel, &table_rows) in rows.iter().enumerate() {
+            let kept = mix.pick(&[1.0, 0.3, 0.01, 0.0005]);
+            overrides.set(RelSet::single(rel), (table_rows * kept).max(1.0));
+        }
+        for &(a, b) in edges {
+            if mix.next() % 3 == 0 {
+                let rows = mix.pick(&[3.0, 700.0, 2_500_000.0]);
+                overrides.set(RelSet::single(a).insert(b), rows);
+            }
+        }
+        (StubIndexes { indexed, rows }, overrides)
+    }
+
+    /// Sequential-scan access paths with the estimator's base-relation estimates.
+    fn oracle_base_plans(
+        spec: &QuerySpec,
+        estimator: &CardinalityEstimator<'_>,
+        cost_model: &CostModel,
+        indexes: &StubIndexes,
+    ) -> Vec<PhysicalPlan> {
+        spec.relations
+            .iter()
+            .map(|relation| PhysicalPlan {
+                kind: PlanKind::SeqScan {
+                    rel: relation.index,
+                    alias: relation.alias.clone(),
+                    table: relation.table.clone(),
+                    predicate: None,
+                },
+                children: vec![],
+                schema: relation.schema.clone(),
+                estimated_rows: estimator.estimate(RelSet::single(relation.index)),
+                cost: cost_model.seq_scan(indexes.rows[relation.index], 8.0, 0),
+                rel_set: RelSet::single(relation.index),
+            })
+            .collect()
+    }
+
+    /// Naive subset DP: every connected set in increasing size, every split into two
+    /// connected halves joined by an edge, priced with the enumerator's own
+    /// `cheapest_join`. Returns the cost of the cheapest plan for all relations.
+    fn oracle_root_cost(
+        enumerator: &JoinEnumerator<'_>,
+        graph: &JoinGraph,
+        bases: &[PhysicalPlan],
+    ) -> Cost {
+        let n = bases.len();
+        let mut best: HashMap<RelSet, JoinSide> =
+            bases.iter().map(|p| (p.rel_set, JoinSide::of(p))).collect();
+        let mut sets: Vec<RelSet> = (1..1u64 << n)
+            .map(RelSet::from_mask)
+            .filter(|s| s.len() >= 2 && graph.is_connected(*s))
+            .collect();
+        sets.sort_by_key(|s| s.len());
+        for set in sets {
+            let first = set.min_index().expect("non-empty");
+            for s1 in set.nonempty_subsets() {
+                // Each unordered split once: the half holding the lowest relation.
+                if s1 == set || !s1.contains(first) {
+                    continue;
+                }
+                let s2 = set.difference(s1);
+                // Only connected sets have entries, so disconnected halves drop out.
+                let (Some(&left), Some(&right)) = (best.get(&s1), best.get(&s2)) else {
+                    continue;
+                };
+                let Some((cost, choice)) = enumerator.cheapest_join(left, right) else {
+                    continue;
+                };
+                if best
+                    .get(&set)
+                    .map_or(true, |b| cost.is_cheaper_than(b.cost))
+                {
+                    let side = JoinSide {
+                        rel_set: set,
+                        cost,
+                        estimated_rows: choice.output_rows,
+                    };
+                    best.insert(set, side);
+                }
+            }
+        }
+        best[&RelSet::all(n)].cost
+    }
+
+    /// Walk a built tree bottom-up and assert that every join node carries exactly
+    /// the cost and estimate that pricing returns for its inputs (in either order:
+    /// the build may have swapped them), and every leaf is its base plan unchanged.
+    /// Returns the node as a pricing input.
+    fn assert_nodes_match_pricing(
+        enumerator: &JoinEnumerator<'_>,
+        bases: &[PhysicalPlan],
+        node: &PhysicalPlan,
+    ) -> JoinSide {
+        let (a, b) = match node.children.as_slice() {
+            [] => {
+                let rel = node.rel_set.min_index().expect("leaf covers one relation");
+                assert_eq!(node, &bases[rel], "leaf is the base access path");
+                return JoinSide::of(node);
+            }
+            // Index nested loop: the inner base relation is read through its index.
+            [outer] => {
+                let inner = node.rel_set.difference(outer.rel_set);
+                assert_eq!(inner.len(), 1, "index nested-loop inner is one relation");
+                let outer = assert_nodes_match_pricing(enumerator, bases, outer);
+                (
+                    outer,
+                    JoinSide::of(&bases[inner.min_index().expect("one relation")]),
+                )
+            }
+            [left, right] => (
+                assert_nodes_match_pricing(enumerator, bases, left),
+                assert_nodes_match_pricing(enumerator, bases, right),
+            ),
+            children => panic!("join with {} children", children.len()),
+        };
+        assert!(a.rel_set.is_disjoint(b.rel_set));
+        assert_eq!(node.rel_set, a.rel_set.union(b.rel_set));
+        // Join keys are oriented (outer child's column, other input's column).
+        let has = |plan: &PhysicalPlan, col: &ColumnRef| {
+            plan.schema.contains(col.qualifier.as_deref(), &col.name)
+        };
+        match &node.kind {
+            PlanKind::HashJoin { keys, .. } | PlanKind::MergeJoin { keys, .. } => {
+                for (outer_key, other_key) in keys {
+                    assert!(has(&node.children[0], outer_key), "{}", node.label());
+                    assert!(has(&node.children[1], other_key), "{}", node.label());
+                }
+            }
+            PlanKind::IndexNestedLoopJoin {
+                inner_rel,
+                outer_key,
+                ..
+            } => {
+                assert_eq!(RelSet::single(*inner_rel), b.rel_set);
+                assert!(has(&node.children[0], outer_key), "{}", node.label());
+            }
+            _ => {}
+        }
+        let priced = [
+            enumerator.cheapest_join(a, b),
+            enumerator.cheapest_join(b, a),
+        ];
+        assert!(
+            priced.iter().flatten().any(|(cost, choice)| {
+                *cost == node.cost && choice.output_rows == node.estimated_rows
+            }),
+            "{} node over {} carries {} / {} rows, pricing gives {:?}",
+            node.label(),
+            node.rel_set,
+            node.cost,
+            node.estimated_rows,
+            priced,
+        );
+        JoinSide::of(node)
+    }
+
+    #[test]
+    fn enumerators_build_what_they_priced_and_dpccp_matches_a_subset_oracle() {
+        let hash_only = OptimizerConfig {
+            enable_index_nl_joins: false,
+            enable_merge_joins: false,
+            ..OptimizerConfig::default()
+        };
+        let nested_loop_only = OptimizerConfig {
+            enable_hash_joins: false,
+            enable_index_nl_joins: false,
+            enable_merge_joins: false,
+            ..OptimizerConfig::default()
+        };
+        let merge_only = OptimizerConfig {
+            enable_merge_joins: true,
+            ..nested_loop_only.clone()
+        };
+        let configs = [
+            OptimizerConfig::default(),
+            hash_only,
+            merge_only,
+            nested_loop_only,
+        ];
+        let cost_model = CostModel::default();
+        let catalog = Catalog::new();
+        let mut algorithms_seen: Vec<JoinAlgorithm> = Vec::new();
+        let (mut bushy_plans, mut linear_plans) = (0, 0);
+        for (shape, n, edges) in ORACLE_SHAPES {
+            let spec = spec_with_edges(n, edges);
+            let graph = JoinGraph::new(&spec);
+            for seed in 0..4u64 {
+                let (indexes, overrides) = oracle_inputs(seed * 31 + n as u64, n, edges);
+                for config in &configs {
+                    let estimator = CardinalityEstimator::new(&spec, &catalog, &overrides);
+                    let bases = oracle_base_plans(&spec, &estimator, &cost_model, &indexes);
+                    let enumerator = JoinEnumerator::new(
+                        &spec,
+                        &graph,
+                        &estimator,
+                        &cost_model,
+                        config,
+                        &indexes,
+                    );
+                    let context = format!("{shape} seed {seed} {config:?}");
+
+                    let dp = enumerator
+                        .enumerate(bases.clone(), EnumerationAlgorithm::DpCcp)
+                        .expect("connected graph plans");
+                    assert_eq!(dp.rel_set, RelSet::all(n), "{context}");
+                    assert_eq!(dp.join_nodes().len(), n - 1, "{context}");
+                    assert_nodes_match_pricing(&enumerator, &bases, &dp);
+                    // Every split's total depends only on its inputs' totals, so the
+                    // optimum's total does not depend on the order splits are visited.
+                    let oracle = oracle_root_cost(&enumerator, &graph, &bases);
+                    assert_eq!(dp.cost.total, oracle.total, "{context}");
+
+                    // Greedy, which `greedy_threshold` selects for large queries.
+                    let greedy = enumerator
+                        .enumerate(bases.clone(), EnumerationAlgorithm::Greedy)
+                        .expect("connected graph plans");
+                    assert_eq!(greedy.rel_set, RelSet::all(n), "{context}");
+                    assert_eq!(greedy.join_nodes().len(), n - 1, "{context}");
+                    assert_nodes_match_pricing(&enumerator, &bases, &greedy);
+                    assert!(greedy.cost.total >= oracle.total, "{context}");
+
+                    for plan in [&dp, &greedy] {
+                        plan.walk(&mut |node| {
+                            algorithms_seen.extend(node.join_algorithm());
+                        });
+                    }
+                    let bushy = dp.join_nodes().iter().any(|node| {
+                        node.children.len() == 2 && node.children.iter().all(|c| c.is_join())
+                    });
+                    if bushy {
+                        bushy_plans += 1;
+                    } else {
+                        linear_plans += 1;
+                    }
+                }
+            }
+        }
+        // The cases exercise every join algorithm and both tree shapes.
+        for algorithm in [
+            JoinAlgorithm::Hash,
+            JoinAlgorithm::IndexNestedLoop,
+            JoinAlgorithm::NestedLoop,
+            JoinAlgorithm::Merge,
+        ] {
+            assert!(
+                algorithms_seen.contains(&algorithm),
+                "no {algorithm} in any plan"
+            );
+        }
+        assert!(
+            bushy_plans > 0 && linear_plans > 0,
+            "{bushy_plans} bushy / {linear_plans} linear"
+        );
     }
 
     #[test]

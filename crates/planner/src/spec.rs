@@ -54,10 +54,16 @@ impl JoinEdge {
     /// The join key for a given side, oriented so that `for_set` contains the returned
     /// column's relation. Returns `(this_side, other_side)`.
     pub fn oriented(&self, for_set: RelSet) -> Option<(ColumnRef, ColumnRef)> {
+        self.oriented_ref(for_set)
+            .map(|(own, other)| (own.clone(), other.clone()))
+    }
+
+    /// Borrowing form of [`JoinEdge::oriented`], for callers that only inspect the key.
+    pub fn oriented_ref(&self, for_set: RelSet) -> Option<(&ColumnRef, &ColumnRef)> {
         if for_set.contains(self.left_rel) && !for_set.contains(self.right_rel) {
-            Some((self.left_column.clone(), self.right_column.clone()))
+            Some((&self.left_column, &self.right_column))
         } else if for_set.contains(self.right_rel) && !for_set.contains(self.left_rel) {
-            Some((self.right_column.clone(), self.left_column.clone()))
+            Some((&self.right_column, &self.left_column))
         } else {
             None
         }
@@ -136,23 +142,26 @@ impl QuerySpec {
             .map(|(i, _)| i)
     }
 
-    /// All join edges connecting the disjoint sets `a` and `b`.
-    pub fn edges_between(&self, a: RelSet, b: RelSet) -> Vec<&JoinEdge> {
-        self.join_edges.iter().filter(|e| e.connects(a, b)).collect()
+    /// All join edges connecting the disjoint sets `a` and `b`, in edge order.
+    pub fn edges_between(&self, a: RelSet, b: RelSet) -> impl Iterator<Item = &JoinEdge> + '_ {
+        self.join_edges.iter().filter(move |e| e.connects(a, b))
     }
 
     /// Complex (non-equi-join multi-relation) predicates that become applicable exactly
     /// when joining `a` and `b`: every referenced relation is inside `a ∪ b` but not
     /// inside `a` or `b` alone.
-    pub fn complex_predicates_for_join(&self, a: RelSet, b: RelSet) -> Vec<&Expr> {
+    pub fn complex_predicates_for_join(
+        &self,
+        a: RelSet,
+        b: RelSet,
+    ) -> impl Iterator<Item = &Expr> + '_ {
         let combined = a.union(b);
         self.complex_predicates
             .iter()
-            .filter(|(set, _)| {
+            .filter(move |(set, _)| {
                 set.is_subset_of(combined) && !set.is_subset_of(a) && !set.is_subset_of(b)
             })
             .map(|(_, e)| e)
-            .collect()
     }
 
     /// The schema of the join of all relations in `set` (columns qualified by alias,
@@ -252,7 +261,7 @@ mod tests {
         assert_eq!(spec.edges_within(RelSet::all(3)).len(), 2);
         assert_eq!(spec.edges_within(RelSet::from_indexes([0, 2])).len(), 0);
         let between = spec.edges_between(RelSet::single(0), RelSet::from_indexes([1, 2]));
-        assert_eq!(between.len(), 1);
+        assert_eq!(between.count(), 1);
         assert_eq!(spec.edge_count(), 2);
     }
 
@@ -276,17 +285,19 @@ mod tests {
         // Joining {0} with {1}: complex predicate over {0,2} not yet applicable.
         assert!(spec
             .complex_predicates_for_join(RelSet::single(0), RelSet::single(1))
-            .is_empty());
+            .next()
+            .is_none());
         // Joining {0,1} with {2}: now applicable.
         assert_eq!(
             spec.complex_predicates_for_join(RelSet::from_indexes([0, 1]), RelSet::single(2))
-                .len(),
+                .count(),
             1
         );
         // Joining {0,2} with {1}: already subsumed by one side, not applied again.
         assert!(spec
             .complex_predicates_for_join(RelSet::from_indexes([0, 2]), RelSet::single(1))
-            .is_empty());
+            .next()
+            .is_none());
     }
 
     #[test]
